@@ -5,7 +5,8 @@
 //!
 //! The warm-cache samples each mutate one cell with a fresh value
 //! first, so every sample genuinely recomputes exactly one column (and
-//! its correlation pairs) rather than replaying a fully-cached build.
+//! its correlation pairs, re-sorting only that column for Spearman)
+//! rather than replaying a fully-cached build.
 
 use std::time::Instant;
 
@@ -101,7 +102,8 @@ fn bench_profile(c: &mut Criterion) {
 
     // Warm-cache incremental path: prime the cache, then per sample
     // repair one cell (fresh value each time, cycling through columns)
-    // and re-profile. Each sample recomputes exactly one column.
+    // and re-profile. Each sample recomputes exactly one column and one
+    // Spearman sort order.
     let cache = ProfileCache::new();
     let opts = BuildOptions {
         threads,
@@ -109,6 +111,7 @@ fn bench_profile(c: &mut Criterion) {
     };
     std::hint::black_box(ProfileReport::build_with(&table, &config, &opts));
     let mut recomputed_columns = Vec::new();
+    let mut recomputed_sort_orders = Vec::new();
     let warm_ms = median(
         (0..SAMPLES)
             .map(|i| {
@@ -122,7 +125,9 @@ fn bench_profile(c: &mut Criterion) {
                 let start = Instant::now();
                 std::hint::black_box(ProfileReport::build_with(&table, &config, &opts));
                 let ms = start.elapsed().as_secs_f64() * 1e3;
-                recomputed_columns.push(cache.stats().column_misses - before.column_misses);
+                let after = cache.stats();
+                recomputed_columns.push(after.column_misses - before.column_misses);
+                recomputed_sort_orders.push(after.sort_misses - before.sort_misses);
                 ms
             })
             .collect(),
@@ -137,7 +142,7 @@ fn bench_profile(c: &mut Criterion) {
     };
     println!(
         "profile {}×{}: sequential {seq_ms:.2} ms, parallel {par_ms:.2} ms ({threads} threads){}, \
-         warm-cache single-column repair {warm_ms:.2} ms (recomputed {:?} columns/sample), \
+         warm-cache single-column repair {warm_ms:.2} ms (recomputed {:?} columns, {:?} sort orders/sample), \
          approx sequential {approx_ms:.2} ms ({approx_sketch_bytes} sketch bytes)",
         table.n_rows(),
         table.n_cols(),
@@ -147,6 +152,7 @@ fn bench_profile(c: &mut Criterion) {
             format!(" → {:.2}×", seq_ms / par_ms)
         },
         recomputed_columns,
+        recomputed_sort_orders,
     );
 
     let json = merge_speedup(
@@ -159,6 +165,7 @@ fn bench_profile(c: &mut Criterion) {
             "warm_cache_ms": warm_ms,
             "warm_cache_speedup_vs_sequential": seq_ms / warm_ms,
             "warm_cache_columns_recomputed_per_sample": recomputed_columns,
+            "warm_cache_sort_orders_recomputed_per_sample": recomputed_sort_orders,
             "sequential_rows_per_sec": table.n_rows() as f64 / (seq_ms / 1e3),
             "parallel_rows_per_sec": table.n_rows() as f64 / (par_ms / 1e3),
             "approx_ms": approx_ms,

@@ -18,6 +18,12 @@
 //! chunk, which both keeps the allocation alive (so its address cannot
 //! be recycled by a new chunk) and lets `Arc::ptr_eq` confirm the match.
 //!
+//! Numeric columns' Spearman sort orders are memoised by column
+//! fingerprint too, so a pair that misses after an edit re-sorts only
+//! the edited column. That memo is trimmed after every use to twice the
+//! profiled table's numeric column count, least recently used first:
+//! an edit's stale order ages out instead of accumulating.
+//!
 //! Determinism: the cache stores the exact values the profiler computed,
 //! so a warm build is bit-identical to a cold one — a property pinned by
 //! the profile determinism integration test.
@@ -33,7 +39,7 @@ use datalens_table::{Chunk, ChunkValues, Column, DataType};
 use datalens_sketch::{column_seed, ColumnSketch};
 
 use crate::approx::ProfileMode;
-use crate::correlation::CorrelationKind;
+use crate::correlation::{CorrelationKind, SortOrder};
 use crate::report::{ColumnProfile, ProfileConfig};
 use crate::stats::NumericPartial;
 
@@ -163,6 +169,11 @@ pub struct CacheStats {
     /// Per-chunk sketch merges folded into column sketches (approx mode
     /// only).
     pub sketch_merges: u64,
+    /// Spearman sort-order lookups by column fingerprint. Not folded
+    /// into [`CacheStats::hits`] / [`CacheStats::misses`]: an order is
+    /// only looked up on behalf of a pair that already missed.
+    pub sort_hits: u64,
+    pub sort_misses: u64,
 }
 
 impl CacheStats {
@@ -225,6 +236,10 @@ struct Inner {
     /// names must not share a sketch partial.
     chunk_sketches: HashMap<(u64, u64), ColumnSketch>,
     pairs: HashMap<(CorrelationKind, u64, u64), f64>,
+    /// Column fingerprint → argsorted finite rows, with the tick of its
+    /// last use (for least-recently-used trimming).
+    sort_orders: HashMap<u64, (Arc<SortOrder>, u64)>,
+    sort_tick: u64,
 }
 
 /// Thread-safe memo of per-column profiles, per-chunk partial stats and
@@ -244,6 +259,8 @@ pub struct ProfileCache {
     sketch_hits: AtomicU64,
     sketch_misses: AtomicU64,
     sketch_merges: AtomicU64,
+    sort_hits: AtomicU64,
+    sort_misses: AtomicU64,
 }
 
 impl ProfileCache {
@@ -263,6 +280,8 @@ impl ProfileCache {
                 chunk_partials: HashMap::new(),
                 chunk_sketches: HashMap::new(),
                 pairs: HashMap::new(),
+                sort_orders: HashMap::new(),
+                sort_tick: 0,
             }),
             max_columns: max_columns.max(1),
             max_pairs: max_pairs.max(1),
@@ -275,6 +294,8 @@ impl ProfileCache {
             sketch_hits: AtomicU64::new(0),
             sketch_misses: AtomicU64::new(0),
             sketch_merges: AtomicU64::new(0),
+            sort_hits: AtomicU64::new(0),
+            sort_misses: AtomicU64::new(0),
         }
     }
 
@@ -412,6 +433,51 @@ impl ProfileCache {
         inner.pairs.insert((kind, fp_a, fp_b), value);
     }
 
+    /// Memoised sort order of the numeric column with fingerprint `fp`,
+    /// if present; a hit marks the entry as most recently used.
+    pub(crate) fn get_sort_order(&self, fp: u64) -> Option<Arc<SortOrder>> {
+        let mut inner = self.inner.lock();
+        inner.sort_tick += 1;
+        let tick = inner.sort_tick;
+        let hit = inner.sort_orders.get_mut(&fp).map(|(order, used)| {
+            *used = tick;
+            Arc::clone(order)
+        });
+        drop(inner);
+        match &hit {
+            Some(_) => self.sort_hits.fetch_add(1, Ordering::Relaxed),
+            None => self.sort_misses.fetch_add(1, Ordering::Relaxed),
+        };
+        hit
+    }
+
+    /// Store a freshly computed sort order.
+    pub(crate) fn put_sort_order(&self, fp: u64, order: Arc<SortOrder>) {
+        let mut inner = self.inner.lock();
+        inner.sort_tick += 1;
+        let tick = inner.sort_tick;
+        inner.sort_orders.insert(fp, (order, tick));
+    }
+
+    /// Drop the least recently used sort orders until at most `limit`
+    /// remain.
+    pub(crate) fn retain_sort_orders(&self, limit: usize) {
+        let mut inner = self.inner.lock();
+        let excess = inner.sort_orders.len().saturating_sub(limit);
+        if excess == 0 {
+            return;
+        }
+        let mut by_age: Vec<(u64, u64)> = inner
+            .sort_orders
+            .iter()
+            .map(|(fp, (_, used))| (*used, *fp))
+            .collect();
+        by_age.sort_unstable();
+        for (_, fp) in by_age.into_iter().take(excess) {
+            inner.sort_orders.remove(&fp);
+        }
+    }
+
     /// Hit/miss counters since construction (monotonic; `clear` does not
     /// reset them).
     pub fn stats(&self) -> CacheStats {
@@ -425,6 +491,8 @@ impl ProfileCache {
             sketch_hits: self.sketch_hits.load(Ordering::Acquire),
             sketch_misses: self.sketch_misses.load(Ordering::Acquire),
             sketch_merges: self.sketch_merges.load(Ordering::Acquire),
+            sort_hits: self.sort_hits.load(Ordering::Acquire),
+            sort_misses: self.sort_misses.load(Ordering::Acquire),
         }
     }
 
@@ -436,6 +504,7 @@ impl ProfileCache {
         inner.chunk_partials.clear();
         inner.chunk_sketches.clear();
         inner.pairs.clear();
+        inner.sort_orders.clear();
     }
 
     /// Number of memoised column profiles (for tests and benches).
@@ -451,6 +520,11 @@ impl ProfileCache {
     /// Number of memoised chunk partials (for tests and benches).
     pub fn cached_chunk_partials(&self) -> usize {
         self.inner.lock().chunk_partials.len()
+    }
+
+    /// Number of memoised sort orders (for tests and benches).
+    pub fn cached_sort_orders(&self) -> usize {
+        self.inner.lock().sort_orders.len()
     }
 
     /// Number of memoised per-chunk sketches (for tests and benches).
@@ -697,6 +771,26 @@ mod tests {
             cache.put_chunk_partial(i, NumericPartial::of(&[i as f64]));
         }
         assert!(cache.cached_chunk_partials() <= 2);
+    }
+
+    #[test]
+    fn sort_order_memo_trims_least_recently_used() {
+        let cache = ProfileCache::new();
+        let order = || Arc::new(SortOrder::of_dense(&[2.0, f64::NAN, 1.0]));
+        for fp in 0..5u64 {
+            cache.put_sort_order(fp, order());
+        }
+        assert!(cache.get_sort_order(0).is_some(), "touch the oldest entry");
+        cache.retain_sort_orders(2);
+        assert_eq!(cache.cached_sort_orders(), 2);
+        assert!(cache.get_sort_order(0).is_some(), "recently used survives");
+        assert!(cache.get_sort_order(4).is_some(), "newest survives");
+        assert!(cache.get_sort_order(1).is_none(), "stale entries age out");
+        let s = cache.stats();
+        assert_eq!((s.sort_hits, s.sort_misses), (3, 1));
+        assert_eq!(s.hits() + s.misses(), 0, "sort lookups stay separate");
+        cache.clear();
+        assert_eq!(cache.cached_sort_orders(), 0);
     }
 
     #[test]

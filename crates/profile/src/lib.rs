@@ -41,8 +41,10 @@ mod proptests {
     use datalens_table::{Column, Table};
 
     use crate::cache::ProfileCache;
+    use crate::correlation::{self, CorrelationKind};
     use crate::histogram::Histogram;
     use crate::report::{BuildOptions, ProfileConfig, ProfileReport};
+    use crate::stats;
     use crate::stats::{numeric_stats_of, quantile_sorted};
 
     proptest! {
@@ -117,6 +119,178 @@ mod proptests {
             prop_assert!(s.median <= s.q3 && s.q3 <= s.max);
             prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
             prop_assert!((s.variance - s.std * s.std).abs() < 1e-6 * s.variance.max(1.0));
+        }
+    }
+
+    /// Floats drawn from a pool dense in ties and in the values where
+    /// `==`, bit identity and finiteness disagree.
+    fn edge_float() -> impl Strategy<Value = f64> {
+        proptest::sample::select(vec![
+            -2.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            7.25,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ])
+    }
+
+    /// A series of `n` optional edge floats; `blank == 0` makes it all
+    /// null.
+    fn float_series(n: usize, blank: u8) -> impl Strategy<Value = Vec<Option<f64>>> {
+        proptest::collection::vec(proptest::option::of(edge_float()), n).prop_map(move |v| {
+            if blank == 0 {
+                vec![None; v.len()]
+            } else {
+                v
+            }
+        })
+    }
+
+    fn bits(v: Option<f64>) -> Option<u64> {
+        v.map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Spearman from presorted orders is bit-identical to sorting
+        /// each pair's values, over nulls, ties, NaN/±Inf and ±0.0.
+        #[test]
+        fn spearman_matches_reference_bit_for_bit(
+            (x, y) in (0usize..40, 0u8..6, 0u8..6).prop_flat_map(|(n, bx, by)| {
+                (float_series(n, bx), float_series(n, by))
+            }),
+        ) {
+            prop_assert_eq!(
+                bits(correlation::spearman(&x, &y)),
+                bits(correlation::reference::spearman(&x, &y))
+            );
+        }
+
+        /// Pearson summed over re-walked pairs equals collecting the
+        /// pairs first, bit for bit.
+        #[test]
+        fn pearson_matches_reference_bit_for_bit(
+            (x, y) in (0usize..40, 0u8..6, 0u8..6).prop_flat_map(|(n, bx, by)| {
+                (float_series(n, bx), float_series(n, by))
+            }),
+        ) {
+            prop_assert_eq!(
+                bits(correlation::pearson(&x, &y)),
+                bits(correlation::reference::pearson(&x, &y))
+            );
+        }
+
+        /// Cramér's V over sorted level codes equals the string-keyed
+        /// computation bit for bit.
+        #[test]
+        fn cramers_v_matches_reference(
+            (x, y) in (0usize..40).prop_flat_map(|n| {
+                let level = || proptest::option::of(
+                    proptest::sample::select(vec!["", "a", "b", "ab", "z"])
+                        .prop_map(str::to_string));
+                (proptest::collection::vec(level(), n), proptest::collection::vec(level(), n))
+            }),
+        ) {
+            prop_assert_eq!(
+                bits(correlation::cramers_v(&x, &y)),
+                bits(correlation::reference::cramers_v(&x, &y))
+            );
+        }
+
+        /// The code/bit-counting categorical stats equal the
+        /// `value_counts`-based reference for every dtype and chunking.
+        #[test]
+        fn categorical_stats_match_reference(
+            (ints, floats, strs, bools) in (0usize..40, 0u8..6).prop_flat_map(|(n, blank)| (
+                proptest::collection::vec(proptest::option::of(
+                    proptest::sample::select(vec![-3i64, 0, 1, 12, 1000])), n),
+                float_series(n, blank),
+                proptest::collection::vec(proptest::option::of(
+                    proptest::sample::select(vec!["", "é", "ab", "xyz"])), n),
+                proptest::collection::vec(proptest::option::of(any::<bool>()), n),
+            )),
+            top_k in 0usize..4,
+            chunk_rows in 1usize..9,
+        ) {
+            for col in [
+                Column::from_i64("i", ints),
+                Column::from_f64("f", floats),
+                Column::from_str_vals("s", strs),
+                Column::from_bool("b", bools),
+            ] {
+                for c in [col.rechunk(chunk_rows), col] {
+                    prop_assert_eq!(
+                        stats::categorical_stats(&c, top_k),
+                        stats::categorical_stats_reference(&c, top_k)
+                    );
+                }
+            }
+        }
+
+        /// Every cell of the table-level Spearman and Cramér's V
+        /// matrices equals the reference pair function on the decoded
+        /// columns, whatever the chunk split.
+        #[test]
+        fn correlation_matrices_match_reference_pairs(
+            ((a, b, c), (s, t)) in (0usize..30, 0u8..6).prop_flat_map(|(n, blank)| {
+                let level = || proptest::option::of(
+                    proptest::sample::select(vec!["p", "q", "r"]));
+                (
+                    (
+                        float_series(n, 1),
+                        float_series(n, blank),
+                        proptest::collection::vec(proptest::option::of(-5i64..5), n),
+                    ),
+                    (
+                        proptest::collection::vec(level(), n),
+                        proptest::collection::vec(level(), n),
+                    ),
+                )
+            }),
+            chunk_rows in 1usize..9,
+        ) {
+            let table = Table::new(
+                "m",
+                vec![
+                    Column::from_f64("a", a).rechunk(chunk_rows),
+                    Column::from_f64("b", b),
+                    Column::from_i64("c", c).rechunk(chunk_rows),
+                    Column::from_str_vals("s", s).rechunk(chunk_rows),
+                    Column::from_str_vals("t", t),
+                ],
+            )
+            .unwrap();
+            let numeric: Vec<Vec<Option<f64>>> = ["a", "b", "c"]
+                .iter()
+                .map(|n| table.column_by_name(n).unwrap().iter().map(|v| v.as_f64()).collect())
+                .collect();
+            let spearman = correlation::correlation_matrix(&table, CorrelationKind::Spearman);
+            for i in 0..3 {
+                for j in (i + 1)..3 {
+                    let want = correlation::reference::spearman(&numeric[i], &numeric[j]);
+                    prop_assert_eq!(
+                        spearman.values[i][j].to_bits(),
+                        want.unwrap_or(f64::NAN).to_bits()
+                    );
+                }
+            }
+            let strs: Vec<Vec<Option<String>>> = ["s", "t"]
+                .iter()
+                .map(|n| {
+                    table.column_by_name(n).unwrap().iter()
+                        .map(|v| v.as_str().map(str::to_string))
+                        .collect()
+                })
+                .collect();
+            let cramers = correlation::correlation_matrix(&table, CorrelationKind::CramersV);
+            let want = correlation::reference::cramers_v(&strs[0], &strs[1]);
+            prop_assert_eq!(cramers.values[0][1].to_bits(), want.unwrap_or(f64::NAN).to_bits());
         }
     }
 }

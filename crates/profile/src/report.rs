@@ -13,7 +13,7 @@ use datalens_table::{Column, DataType, Table};
 use crate::alerts::{scan_with, Alert, AlertConfig};
 use crate::approx::{approx_column_profile, ApproxColumnProfile, ProfileMode, SketchParams};
 use crate::cache::ProfileCache;
-use crate::correlation::{cramers_v, pearson, spearman, CorrelationKind, CorrelationMatrix};
+use crate::correlation::{correlation_matrices, CorrelationKind, CorrelationMatrix};
 use crate::histogram::Histogram;
 use crate::stats::{categorical_stats, numeric_stats_chunked, CategoricalStats, NumericStats};
 
@@ -120,12 +120,36 @@ impl ProfileReport {
         let total_cells = n_rows * n_columns;
         let duplicate_rows = table.duplicate_rows().len();
 
+        // Cache lookups first, so only the columns that missed fan out.
         let cols = table.columns();
-        let columns: Vec<ColumnProfile> = map_indexed(cols.len(), opts.threads, |i| {
-            profile_column(&cols[i], n_rows, config, opts.cache)
+        let mut columns: Vec<Option<ColumnProfile>> = cols
+            .iter()
+            .map(|c| opts.cache.and_then(|cache| cache.get_column(c, config)))
+            .collect();
+        let missed: Vec<usize> = (0..cols.len()).filter(|&i| columns[i].is_none()).collect();
+        let fresh = map_indexed(missed.len(), opts.threads, |m| {
+            let col = &cols[missed[m]];
+            let profile = compute_column_profile(col, n_rows, config, opts.cache);
+            if let Some(cache) = opts.cache {
+                cache.put_column(col, config, &profile);
+            }
+            profile
         });
+        for (&i, profile) in missed.iter().zip(fresh) {
+            columns[i] = Some(profile);
+        }
+        let columns: Vec<ColumnProfile> = columns.into_iter().flatten().collect();
 
-        let (pearson, spearman, cramers_v) = correlation_matrices(table, opts);
+        let [pearson, spearman, cramers_v] = correlation_matrices(
+            table,
+            [
+                CorrelationKind::Pearson,
+                CorrelationKind::Spearman,
+                CorrelationKind::CramersV,
+            ],
+            opts.threads,
+            opts.cache,
+        );
         let alerts = scan_with(table, &config.alerts, &columns, &pearson, duplicate_rows);
 
         ProfileReport {
@@ -249,25 +273,6 @@ impl ProfileReport {
     }
 }
 
-/// Profile one column, consulting (and feeding) the cache when present.
-fn profile_column(
-    col: &Column,
-    n_rows: usize,
-    config: &ProfileConfig,
-    cache: Option<&ProfileCache>,
-) -> ColumnProfile {
-    if let Some(cache) = cache {
-        if let Some(hit) = cache.get_column(col, config) {
-            return hit;
-        }
-    }
-    let profile = compute_column_profile(col, n_rows, config, cache);
-    if let Some(cache) = cache {
-        cache.put_column(col, config, &profile);
-    }
-    profile
-}
-
 /// The per-column work: stats (chunk-merged, with per-chunk partials
 /// memoised through `cache` when present), histogram, value frequencies.
 pub(crate) fn compute_column_profile(
@@ -309,7 +314,7 @@ pub(crate) fn compute_column_profile(
 /// indices out across up to `threads` scoped threads in contiguous
 /// chunks — the same pattern as the engine's detect fan-out, so assembly
 /// order never depends on scheduling.
-fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+pub(crate) fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -323,14 +328,21 @@ where
         }
     } else {
         let chunk = n.div_ceil(threads);
+        let fill = |c: usize, out: &mut [Option<T>]| {
+            for (k, slot) in out.iter_mut().enumerate() {
+                *slot = Some(f(c * chunk + k));
+            }
+        };
         std::thread::scope(|scope| {
-            for (c, out) in slots.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    for (k, slot) in out.iter_mut().enumerate() {
-                        *slot = Some(f(c * chunk + k));
-                    }
-                });
+            let mut parts = slots.chunks_mut(chunk).enumerate();
+            let first = parts.next();
+            for (c, out) in parts {
+                let fill = &fill;
+                scope.spawn(move || fill(c, out));
+            }
+            // The calling thread works the first chunk itself.
+            if let Some((c, out)) = first {
+                fill(c, out);
             }
         });
     }
@@ -341,105 +353,6 @@ where
         // exactly once, so the slot is always filled.
         .map(|s| s.expect("every fan-out slot filled"))
         .collect()
-}
-
-/// Compute the Pearson, Spearman, and Cramér's V matrices, flattening
-/// every upper-triangle `(kind, i, j)` pair into one task list that the
-/// fan-out processes (and the cache memoises) independently.
-fn correlation_matrices(
-    table: &Table,
-    opts: &BuildOptions,
-) -> (CorrelationMatrix, CorrelationMatrix, CorrelationMatrix) {
-    let num_cols: Vec<&Column> = table
-        .columns()
-        .iter()
-        .filter(|c| c.dtype().is_numeric())
-        .collect();
-    let str_cols: Vec<&Column> = table
-        .columns()
-        .iter()
-        .filter(|c| c.dtype() == DataType::Str)
-        .collect();
-    let num_series: Vec<Vec<Option<f64>>> = num_cols
-        .iter()
-        .map(|c| c.iter().map(|v| v.as_f64()).collect())
-        .collect();
-    let str_series: Vec<Vec<Option<String>>> = str_cols
-        .iter()
-        .map(|c| c.iter().map(|v| v.as_str().map(str::to_string)).collect())
-        .collect();
-    // Content fingerprints key the pair cache; the pointer fast path
-    // makes this O(1) for columns the cache has already seen.
-    let (num_fps, str_fps): (Vec<u64>, Vec<u64>) = match opts.cache {
-        Some(cache) => (
-            num_cols.iter().map(|c| cache.fingerprint_of(c)).collect(),
-            str_cols.iter().map(|c| cache.fingerprint_of(c)).collect(),
-        ),
-        None => (Vec::new(), Vec::new()),
-    };
-
-    let mut tasks: Vec<(CorrelationKind, usize, usize)> = Vec::new();
-    for kind in [CorrelationKind::Pearson, CorrelationKind::Spearman] {
-        for i in 0..num_cols.len() {
-            for j in (i + 1)..num_cols.len() {
-                tasks.push((kind, i, j));
-            }
-        }
-    }
-    for i in 0..str_cols.len() {
-        for j in (i + 1)..str_cols.len() {
-            tasks.push((CorrelationKind::CramersV, i, j));
-        }
-    }
-
-    let results: Vec<f64> = map_indexed(tasks.len(), opts.threads, |t| {
-        let (kind, i, j) = tasks[t];
-        let fps = match kind {
-            CorrelationKind::CramersV => &str_fps,
-            _ => &num_fps,
-        };
-        if let Some(cache) = opts.cache {
-            if let Some(v) = cache.get_pair(kind, fps[i], fps[j]) {
-                return v;
-            }
-        }
-        let v = match kind {
-            CorrelationKind::Pearson => pearson(&num_series[i], &num_series[j]),
-            CorrelationKind::Spearman => spearman(&num_series[i], &num_series[j]),
-            CorrelationKind::CramersV => cramers_v(&str_series[i], &str_series[j]),
-        }
-        .unwrap_or(f64::NAN);
-        if let Some(cache) = opts.cache {
-            cache.put_pair(kind, fps[i], fps[j], v);
-        }
-        v
-    });
-
-    let num_names: Vec<String> = num_cols.iter().map(|c| c.name().to_string()).collect();
-    let str_names: Vec<String> = str_cols.iter().map(|c| c.name().to_string()).collect();
-    let mut pearson_m = unit_diagonal_matrix(num_names.clone());
-    let mut spearman_m = unit_diagonal_matrix(num_names);
-    let mut cramers_m = unit_diagonal_matrix(str_names);
-    for (&(kind, i, j), &v) in tasks.iter().zip(&results) {
-        let m = match kind {
-            CorrelationKind::Pearson => &mut pearson_m,
-            CorrelationKind::Spearman => &mut spearman_m,
-            CorrelationKind::CramersV => &mut cramers_m,
-        };
-        m.values[i][j] = v;
-        m.values[j][i] = v;
-    }
-    (pearson_m, spearman_m, cramers_m)
-}
-
-/// An all-NaN matrix over `columns` with ones on the diagonal.
-fn unit_diagonal_matrix(columns: Vec<String>) -> CorrelationMatrix {
-    let n = columns.len();
-    let mut values = vec![vec![f64::NAN; n]; n];
-    for (i, row) in values.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    CorrelationMatrix { columns, values }
 }
 
 #[cfg(test)]

@@ -13,9 +13,13 @@
 //! whose last-bit rounding can differ from the flat path once a column
 //! spans multiple chunks.
 
+use std::cmp::Reverse;
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
-use datalens_table::{Chunk, Column, DataType};
+use datalens_table::value::canonical_f64_bits;
+use datalens_table::{Chunk, ChunkValues, Column, DataType, Value};
 
 use crate::cache::ProfileCache;
 
@@ -355,7 +359,157 @@ pub struct CategoricalStats {
 
 /// Compute categorical stats over non-null values, keeping the `top_k`
 /// most frequent.
+///
+/// Counts run over dictionary codes (strings) or value bits (numbers)
+/// without building a [`datalens_table::Value`] per row; lengths come
+/// from the borrowed strings or from one reused render buffer, and
+/// only the `top_k` winners are rendered to owned `String`s. The result
+/// equals the frequency table of [`Column::value_counts`]: distinct
+/// values by descending count, then ascending value.
 pub fn categorical_stats(column: &Column, top_k: usize) -> CategoricalStats {
+    if column.dtype() == DataType::Str {
+        let mut counts = str_counts(column);
+        counts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        return summarize(&counts, top_k, |s| s.chars().count(), |s| s.to_string());
+    }
+    let counts = scalar_counts(column);
+    let mut buf = String::new();
+    let length = |v: &Value| {
+        buf.clear();
+        v.render_into(&mut buf);
+        buf.chars().count()
+    };
+    summarize(&counts, top_k, length, Value::render)
+}
+
+/// Non-null string frequencies: per-chunk code tallies merged by string.
+fn str_counts(column: &Column) -> Vec<(&str, usize)> {
+    let mut merged: HashMap<&str, usize> = HashMap::new();
+    for chunk in column.chunks() {
+        if let ChunkValues::Str { dict, codes } = chunk.values() {
+            let mut per = vec![0usize; dict.len()];
+            for (i, &code) in codes.iter().enumerate() {
+                if chunk.is_valid(i) {
+                    per[code as usize] += 1;
+                }
+            }
+            for (s, n) in dict.iter().zip(per).filter(|(_, n)| *n > 0) {
+                *merged.entry(s.as_str()).or_insert(0) += n;
+            }
+        }
+    }
+    merged.into_iter().collect()
+}
+
+/// Non-null int/float/bool frequencies, keyed like [`Value`] equality
+/// (all NaNs are one value, −0.0 == 0.0; the first occurrence is the one
+/// kept), sorted by descending count, then ascending value.
+fn scalar_counts(column: &Column) -> Vec<(Value, usize)> {
+    let mut ints: HashMap<i64, usize> = HashMap::new();
+    let mut floats: HashMap<u64, (f64, usize)> = HashMap::new();
+    let mut bools = [0usize; 2];
+    for chunk in column.chunks() {
+        let valid = |i: &usize| chunk.is_valid(*i);
+        match chunk.values() {
+            ChunkValues::Int(v) => {
+                for i in (0..v.len()).filter(valid) {
+                    *ints.entry(v[i]).or_insert(0) += 1;
+                }
+            }
+            ChunkValues::Float(v) => {
+                for i in (0..v.len()).filter(valid) {
+                    floats
+                        .entry(canonical_f64_bits(v[i]))
+                        .or_insert((v[i], 0))
+                        .1 += 1;
+                }
+            }
+            ChunkValues::Bool(v) => {
+                for i in (0..v.len()).filter(valid) {
+                    bools[usize::from(v[i])] += 1;
+                }
+            }
+            ChunkValues::Str { .. } => {}
+        }
+    }
+    // Sort on plain integer keys: descending count, then the value in
+    // `Value::total_cmp` order (ints compare as f64 there, so beyond
+    // 2^53 their own order breaks the tie).
+    let mut keyed: Vec<(Reverse<usize>, u64, i64, Value)> = ints
+        .into_iter()
+        .map(|(x, n)| (Reverse(n), total_order_key(x as f64), x, Value::Int(x)))
+        .chain(
+            floats
+                .into_values()
+                .map(|(x, n)| (Reverse(n), total_order_key(x), 0, Value::Float(x))),
+        )
+        .chain(
+            [false, true]
+                .into_iter()
+                .zip(bools)
+                .filter(|(_, n)| *n > 0)
+                .map(|(b, n)| (Reverse(n), u64::from(b), 0, Value::Bool(b))),
+        )
+        .collect();
+    keyed.sort_unstable_by_key(|(n, key, tie, _)| (*n, *key, *tie));
+    keyed
+        .into_iter()
+        .map(|(Reverse(n), _, _, v)| (v, n))
+        .collect()
+}
+
+/// Key whose unsigned order is `f64::total_cmp`'s order.
+pub(crate) fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Entropy, length range and top-`top_k` over frequency-sorted
+/// `(value, count)` entries; only the top entries are rendered.
+fn summarize<T>(
+    counts: &[(T, usize)],
+    top_k: usize,
+    mut length: impl FnMut(&T) -> usize,
+    render: impl Fn(&T) -> String,
+) -> CategoricalStats {
+    let total: usize = counts.iter().map(|(_, c)| c).sum();
+    let entropy = if total == 0 {
+        0.0
+    } else {
+        -counts
+            .iter()
+            .map(|(_, c)| {
+                let p = *c as f64 / total as f64;
+                p * p.log2()
+            })
+            .sum::<f64>()
+    };
+    let mut lengths = counts.iter().map(|(v, _)| length(v));
+    let first = lengths.next().unwrap_or(0);
+    let (min_length, max_length) =
+        lengths.fold((first, first), |(lo, hi), l| (lo.min(l), hi.max(l)));
+    CategoricalStats {
+        count: total,
+        distinct: counts.len(),
+        top: counts
+            .iter()
+            .take(top_k)
+            .map(|(v, c)| (render(v), *c))
+            .collect(),
+        entropy,
+        min_length,
+        max_length,
+    }
+}
+
+/// The `value_counts`-based implementation [`categorical_stats`]
+/// replaced, kept as a differential-test oracle.
+#[cfg(test)]
+pub(crate) fn categorical_stats_reference(column: &Column, top_k: usize) -> CategoricalStats {
     let counts = column.value_counts();
     let total: usize = counts.iter().map(|(_, c)| c).sum();
     let entropy = if total == 0 {

@@ -46,6 +46,19 @@ mod proptests {
     use crate::csv::{read_csv_str, write_csv_str, CsvOptions};
     use crate::{Column, Table, Value};
 
+    /// Floats where `==` and bit identity disagree.
+    fn edge_floats() -> Vec<f64> {
+        vec![
+            0.0,
+            -0.0,
+            1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]
+    }
+
     fn table_strategy() -> impl Strategy<Value = Table> {
         table_strategy_of("[ -~]{0,12}")
     }
@@ -173,6 +186,46 @@ mod proptests {
             let d2 = tb.diff_cells(&ta).unwrap();
             prop_assert_eq!(&d1, &d2);
             prop_assert_eq!(d1.is_empty(), a[..n] == b[..n]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The column-wise duplicate scan agrees with the row-materialising
+        /// reference on mixed-dtype tables drawn from tiny domains (so
+        /// duplicates are common), with nulls, NaN, ±Inf, ±0.0, all-null
+        /// columns and arbitrary chunk splits.
+        #[test]
+        fn duplicate_rows_match_reference(
+            (ints, floats, strs, bools) in (0usize..40).prop_flat_map(|n| (
+                proptest::collection::vec(proptest::option::of(
+                    proptest::sample::select(vec![-1i64, 0, 7])), n),
+                proptest::collection::vec(proptest::option::of(
+                    proptest::sample::select(edge_floats())), n),
+                proptest::collection::vec(proptest::option::of(
+                    proptest::sample::select(vec!["", "a", "bc"])), n),
+                proptest::collection::vec(proptest::option::of(any::<bool>()), n),
+            )),
+            blank in 0usize..6,
+            chunk_rows in 1usize..9,
+        ) {
+            let n = ints.len();
+            let mut columns = vec![
+                Column::from_i64("i", ints),
+                Column::from_f64("f", floats),
+                Column::from_str_vals("s", strs),
+                Column::from_bool("b", bools),
+            ];
+            if let Some(c) = columns.get_mut(blank) {
+                *c = Column::nulls(c.name().to_string(), c.dtype(), n);
+            }
+            let t = Table::new("d", columns).unwrap();
+            let expected = t.duplicate_rows_reference();
+            prop_assert_eq!(t.duplicate_rows(), expected.clone());
+            let rechunked: Vec<Column> = t.columns().iter().map(|c| c.rechunk(chunk_rows)).collect();
+            let r = Table::new("d", rechunked).unwrap();
+            prop_assert_eq!(r.duplicate_rows(), expected);
         }
     }
 }

@@ -4,10 +4,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::chunk::{Chunk, ChunkValues, RawRef};
 use crate::column::Column;
 use crate::error::TableError;
 use crate::schema::{Field, Schema};
-use crate::value::Value;
+use crate::value::{canonical_f64_bits, Value};
 
 /// Address of a single cell: `(row, column index)`.
 ///
@@ -292,8 +293,53 @@ impl Table {
         self.columns.iter().map(Column::null_count).sum()
     }
 
-    /// Indices of rows that are exact duplicates of an earlier row.
+    /// Indices of rows that are exact duplicates of an earlier row, in
+    /// ascending order. Cells compare with [`Value`] equality (null equals
+    /// null, NaN equals NaN, 0.0 equals −0.0).
+    ///
+    /// Column-wise: every row's hash is folded one column at a time
+    /// straight from the chunk buffers (a string dictionary entry is
+    /// hashed once per chunk), rows are grouped by hash, and cells are
+    /// compared only inside a group — no row is materialised.
     pub fn duplicate_rows(&self) -> Vec<usize> {
+        let mut hashes = vec![0u64; self.rows];
+        for col in &self.columns {
+            let mut base = 0;
+            for chunk in col.chunks() {
+                fold_chunk_hashes(chunk, &mut hashes[base..base + chunk.len()]);
+                base += chunk.len();
+            }
+        }
+        let mut order: Vec<(u64, usize)> = hashes.into_iter().zip(0..).collect();
+        order.sort_unstable();
+        let mut dups = Vec::new();
+        let mut reps: Vec<usize> = Vec::new();
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            reps.clear();
+            for &(_, row) in group {
+                if reps.iter().any(|&rep| self.rows_equal(rep, row)) {
+                    dups.push(row);
+                } else {
+                    reps.push(row);
+                }
+            }
+        }
+        dups.sort_unstable();
+        dups
+    }
+
+    /// Whether rows `a` and `b` hold equal values in every column.
+    fn rows_equal(&self, a: usize, b: usize) -> bool {
+        self.columns.iter().all(|c| match (c.raw(a), c.raw(b)) {
+            (RawRef::Float(x), RawRef::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+            (x, y) => x == y,
+        })
+    }
+
+    /// Reference implementation kept as a differential-test oracle:
+    /// materialises every row and hashes it as a `Vec<Value>`.
+    #[cfg(test)]
+    pub(crate) fn duplicate_rows_reference(&self) -> Vec<usize> {
         use std::collections::HashMap;
         let mut seen: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut dups = Vec::new();
@@ -348,6 +394,45 @@ impl Table {
         }
         Ok(out)
     }
+}
+
+/// Finalizer of SplitMix64: spreads a cell's bits over the whole word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Fold each row's cell hash from `chunk` into `row_hashes`. Every
+/// cell that [`Value`] equality treats as equal hashes equally: floats
+/// go through their canonical bits, strings through their bytes (once
+/// per dictionary entry).
+fn fold_chunk_hashes(chunk: &Chunk, row_hashes: &mut [u64]) {
+    fn fold(chunk: &Chunk, row_hashes: &mut [u64], cell: impl Fn(usize) -> u64) {
+        const NULL: u64 = 0x6e75_6c6c_6e75_6c6c;
+        for (i, h) in row_hashes.iter_mut().enumerate() {
+            let c = if chunk.is_valid(i) { cell(i) } else { NULL };
+            *h = (h.rotate_left(23) ^ c).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+    match chunk.values() {
+        ChunkValues::Int(v) => fold(chunk, row_hashes, |i| mix64(v[i] as u64)),
+        ChunkValues::Float(v) => fold(chunk, row_hashes, |i| mix64(canonical_f64_bits(v[i]))),
+        ChunkValues::Bool(v) => fold(chunk, row_hashes, |i| mix64(u64::from(v[i]))),
+        ChunkValues::Str { dict, codes } => {
+            let dict_hashes: Vec<u64> = dict.iter().map(|s| str_hash(s)).collect();
+            fold(chunk, row_hashes, |i| dict_hashes[codes[i] as usize]);
+        }
+    }
+}
+
+/// FNV-1a over the bytes, finished with [`mix64`].
+fn str_hash(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    mix64(h)
 }
 
 impl fmt::Display for Table {

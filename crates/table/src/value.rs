@@ -178,10 +178,28 @@ impl Value {
         match self {
             Value::Null => String::new(),
             Value::Int(i) => i.to_string(),
-            Value::Float(f) => render_float(*f),
+            Value::Float(_) => {
+                let mut out = String::new();
+                self.render_into(&mut out);
+                out
+            }
             Value::Bool(b) => b.to_string(),
             Value::Str(s) => s.clone(),
         }
+    }
+
+    /// Append [`Value::render`]'s text to `out`, so a caller rendering
+    /// many values can reuse one buffer.
+    pub fn render_into(&self, out: &mut String) {
+        use fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Value::Null => Ok(()),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(f) => write_float(out, *f),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Str(s) => out.write_str(s),
+        };
     }
 
     /// Coerce this value to `dtype`, returning `Null` when the coercion is
@@ -261,8 +279,7 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 1u8.hash(state);
-                let canonical = if f.is_nan() { f64::NAN } else { *f };
-                canonical.to_bits().hash(state);
+                canonical_f64_bits(*f).hash(state);
             }
             Value::Bool(b) => {
                 2u8.hash(state);
@@ -273,6 +290,19 @@ impl std::hash::Hash for Value {
                 s.hash(state);
             }
         }
+    }
+}
+
+/// Bits of `f` with every value `==`-equal under [`Value`] equality
+/// mapped to one pattern: all NaNs to the canonical NaN and −0.0 to
+/// 0.0. Hashing these bits keeps `Hash` consistent with `Eq`.
+pub fn canonical_f64_bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else if f == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        f.to_bits()
     }
 }
 
@@ -350,15 +380,16 @@ fn parse_float(s: &str) -> Option<f64> {
     s.parse::<f64>().ok()
 }
 
-fn render_float(f: f64) -> String {
+fn write_float(out: &mut String, f: f64) -> fmt::Result {
+    use fmt::Write;
     if f.is_nan() {
-        return "NaN".to_string();
+        return out.write_str("NaN");
     }
     if f == f.trunc() && f.is_finite() && f.abs() < 1e15 {
         // Keep a trailing ".0" so the value re-parses as Float, not Int.
-        format!("{f:.1}")
+        write!(out, "{f:.1}")
     } else {
-        format!("{f}")
+        write!(out, "{f}")
     }
 }
 
@@ -470,6 +501,24 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(Value::Int(2));
         assert!(set.contains(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn render_into_appends_render() {
+        let mut buf = String::from(">");
+        for v in [
+            Value::Null,
+            Value::Int(-3),
+            Value::Float(10.0),
+            Value::Float(2.5e20),
+            Value::Float(f64::NAN),
+            Value::Bool(false),
+            Value::Str("abc".into()),
+        ] {
+            buf.truncate(1);
+            v.render_into(&mut buf);
+            assert_eq!(&buf[1..], v.render());
+        }
     }
 
     #[test]

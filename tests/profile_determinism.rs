@@ -296,3 +296,134 @@ fn reprofile_after_repair_recomputes_only_touched_chunk() {
     assert_eq!(after.chunk_hits - before.chunk_hits, 3);
     assert_eq!(after.column_misses - before.column_misses, 1);
 }
+
+/// Edge-case fixture for the incremental refresh: integer ties, floats
+/// with NaN, ±Inf, −0.0/0.0 and repeated values, nulls everywhere, and
+/// rows 200.. repeating rows 0.. so the table has duplicate rows.
+fn edge_fixture() -> Table {
+    let n = 240;
+    let base = |i: usize| if i >= 200 { i - 200 } else { i };
+    let ints: Vec<Option<i64>> = (0..n)
+        .map(|i| match base(i) {
+            r if r % 9 == 0 => None,
+            r => Some((r % 7) as i64),
+        })
+        .collect();
+    let edge = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 2.5];
+    let floats: Vec<Option<f64>> = (0..n)
+        .map(|i| match base(i) {
+            r if r % 13 == 0 => None,
+            r if r % 5 == 0 => Some(edge[r % edge.len()]),
+            r => Some(((r * 17) % 23) as f64 * 0.5),
+        })
+        .collect();
+    let smooth: Vec<Option<f64>> = (0..n)
+        .map(|i| match base(i) {
+            r if r % 11 == 0 => None,
+            r => Some((r as f64 * 0.37).sin() * 50.0),
+        })
+        .collect();
+    let cats = ["red", "green", "blue"];
+    let strs: Vec<Option<&str>> = (0..n)
+        .map(|i| match base(i) {
+            r if r % 17 == 0 => None,
+            r => Some(cats[r % 3]),
+        })
+        .collect();
+    let bools: Vec<Option<bool>> = (0..n).map(|i| Some(base(i) % 4 == 0)).collect();
+    Table::new(
+        "edges",
+        vec![
+            Column::from_i64("a", ints),
+            Column::from_f64("b", floats),
+            Column::from_f64("c", smooth),
+            Column::from_str_vals("color", strs),
+            Column::from_bool("flag", bools),
+        ],
+    )
+    .unwrap()
+}
+
+/// The interactive refresh loop: after each single-cell edit, a warm
+/// rebuild at 1, 2 and 8 threads serializes byte-identical to a cold
+/// build, and a numeric edit re-sorts exactly one column (the edited
+/// one) for Spearman — every other order comes from the memo.
+#[test]
+fn incremental_refresh_after_single_cell_edits_matches_cold_build() {
+    let mut table = edge_fixture();
+    assert!(table.duplicate_rows().len() >= 40, "fixture has duplicates");
+    let config = ProfileConfig::default();
+    let caches: Vec<ProfileCache> = (0..3).map(|_| ProfileCache::new()).collect();
+    let threads = [1, 2, 8];
+    let build = |table: &Table, k: usize| {
+        serialized(&ProfileReport::build_with(
+            table,
+            &config,
+            &BuildOptions {
+                threads: threads[k],
+                cache: Some(&caches[k]),
+            },
+        ))
+    };
+    let cold = serialized(&ProfileReport::build(&table, &config));
+    for k in 0..3 {
+        assert_eq!(
+            build(&table, k),
+            cold,
+            "first build at threads={}",
+            threads[k]
+        );
+        assert_eq!(caches[k].stats().sort_misses, 3, "a, b, c sorted once");
+    }
+
+    let edits = [
+        (5, "b", Value::Float(-0.0)),
+        (17, "a", Value::Int(5)),
+        (30, "c", Value::Float(f64::NAN)),
+        (8, "color", Value::Str("teal".into())),
+        (201, "b", Value::Null),
+        (44, "c", Value::Float(2.5)),
+        (3, "flag", Value::Bool(true)),
+        (60, "b", Value::Float(f64::INFINITY)),
+        (2, "a", Value::Null),
+        (12, "c", Value::Float(0.0)),
+    ];
+    for (row, name, value) in edits {
+        let col = table.column_index(name).unwrap();
+        let cell = CellRef::new(row, col);
+        assert_ne!(
+            table.get(cell).unwrap(),
+            value,
+            "edit must change {name}[{row}]"
+        );
+        table.set(cell, value).unwrap();
+        let numeric = table.columns()[col].dtype().is_numeric();
+
+        let cold = serialized(&ProfileReport::build(&table, &config));
+        for k in 0..3 {
+            let before = caches[k].stats();
+            let warm = build(&table, k);
+            let after = caches[k].stats();
+            assert_eq!(
+                warm, cold,
+                "warm rebuild after editing {name}[{row}] diverged at threads={}",
+                threads[k]
+            );
+            assert_eq!(
+                after.sort_misses - before.sort_misses,
+                u64::from(numeric),
+                "editing {name} re-sorts {} column(s)",
+                u64::from(numeric)
+            );
+            if numeric {
+                assert_eq!(after.sort_hits - before.sort_hits, 2);
+            }
+        }
+    }
+    for cache in &caches {
+        assert!(
+            cache.cached_sort_orders() <= 6,
+            "sort-order memo stays within twice the numeric columns"
+        );
+    }
+}
