@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datalens_bench::perf::{merge_speedup, SpeedupMeasurement};
-use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileMode, ProfileReport};
+use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileReport};
 use datalens_table::{CellRef, Column, Table, Value};
 
 const SAMPLES: usize = 7;
@@ -85,21 +85,6 @@ fn bench_profile(c: &mut Criterion) {
     let seq_ms = median_build_ms(&table, &config, 1);
     let par_ms = median_build_ms(&table, &config, threads);
 
-    // Approx (sketch) series: compared 1-worker vs 1-worker against the
-    // exact build so the ratio is pool-independent, unlike the parallel
-    // speedup which `merge_speedup` may mark degenerate on small hosts.
-    let approx_config = ProfileConfig {
-        mode: ProfileMode::Approx,
-        ..ProfileConfig::default()
-    };
-    let approx_ms = median_build_ms(&table, &approx_config, 1);
-    let approx_sketch_bytes: u64 = ProfileReport::build(&table, &approx_config)
-        .columns
-        .iter()
-        .filter_map(|c| c.approx.as_ref())
-        .map(|a| a.sketch_bytes)
-        .sum();
-
     // Warm-cache incremental path: prime the cache, then per sample
     // repair one cell (fresh value each time, cycling through columns)
     // and re-profile. Each sample recomputes exactly one column and one
@@ -142,8 +127,7 @@ fn bench_profile(c: &mut Criterion) {
     };
     println!(
         "profile {}×{}: sequential {seq_ms:.2} ms, parallel {par_ms:.2} ms ({threads} threads){}, \
-         warm-cache single-column repair {warm_ms:.2} ms (recomputed {:?} columns, {:?} sort orders/sample), \
-         approx sequential {approx_ms:.2} ms ({approx_sketch_bytes} sketch bytes)",
+         warm-cache single-column repair {warm_ms:.2} ms (recomputed {:?} columns, {:?} sort orders/sample)",
         table.n_rows(),
         table.n_cols(),
         if measurement.is_degenerate() {
@@ -168,10 +152,6 @@ fn bench_profile(c: &mut Criterion) {
             "warm_cache_sort_orders_recomputed_per_sample": recomputed_sort_orders,
             "sequential_rows_per_sec": table.n_rows() as f64 / (seq_ms / 1e3),
             "parallel_rows_per_sec": table.n_rows() as f64 / (par_ms / 1e3),
-            "approx_ms": approx_ms,
-            "approx_rows_per_sec": table.n_rows() as f64 / (approx_ms / 1e3),
-            "approx_speedup_vs_exact_sequential": seq_ms / approx_ms,
-            "approx_sketch_bytes_resident": approx_sketch_bytes,
         }),
         &measurement,
     );
@@ -212,18 +192,6 @@ fn bench_profile(c: &mut Criterion) {
     });
     group.bench_function("build_warm_cache", |b| {
         b.iter(|| ProfileReport::build_with(&table, &config, &opts))
-    });
-    group.bench_function("build_approx_sequential", |b| {
-        b.iter(|| {
-            ProfileReport::build_with(
-                &table,
-                &approx_config,
-                &BuildOptions {
-                    threads: 1,
-                    cache: None,
-                },
-            )
-        })
     });
     group.finish();
 }

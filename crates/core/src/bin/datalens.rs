@@ -23,7 +23,6 @@ use datalens::jobs::{JobService, JobServiceConfig};
 use datalens::service::tool_service_router;
 use datalens_health::HealthThresholds;
 use datalens_obs::Registry;
-use datalens_profile::ProfileMode;
 use datalens_rest::{metrics_router, Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -56,7 +55,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: datalens <datasets|profile|rules|detect|repair|dashboard|serve> [args]
-  datalens profile data.csv [--profile-mode exact|approx]
+  datalens profile data.csv
   datalens rules data.csv --approx 0.1
   datalens detect data.csv --tools sd,iqr,mv_detector --tag -1 --rule 'zip -> city'
   datalens repair data.csv --tools sd,mv_detector --repairer ml_imputer -o repaired.csv
@@ -77,11 +76,7 @@ health gate:  --degraded-queue-ratio R  queue fill ratio reported degraded (0.5)
                             gate holds, submits shed with 429 + Retry-After
 common flags: --seed N   seed for stochastic tools
               --threads N   detect/profile fan-out threads (0 = one per core;
-                            serve default 1 to keep per-job work single-threaded)
-              --profile-mode exact|approx
-                            profiling backend: exact statistics (default) or
-                            bounded-memory mergeable sketches (HLL distinct,
-                            KLL quantiles, space-saving top-k)";
+                            serve default 1 to keep per-job work single-threaded)";
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -108,13 +103,15 @@ fn flag_values(args: &[String], key: &str) -> Vec<String> {
     out
 }
 
-fn parse_profile_mode(args: &[String]) -> Result<ProfileMode, Box<dyn std::error::Error>> {
-    match flag_value(args, "--profile-mode") {
-        None => Ok(ProfileMode::default()),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid --profile-mode {v:?} (expected exact|approx)").into()),
-    }
+/// The value of `key` parsed as `T`: `None` when the flag is absent, an
+/// error naming the flag when its value does not parse.
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    key: &str,
+) -> Result<Option<T>, Box<dyn std::error::Error>> {
+    flag_value(args, key)
+        .map(|v| v.parse().map_err(|_| format!("invalid {key} {v:?}").into()))
+        .transpose()
 }
 
 fn positional(args: &[String]) -> Option<&String> {
@@ -137,18 +134,12 @@ fn positional(args: &[String]) -> Option<&String> {
 /// Build a controller with the file (or preloaded dataset name) loaded.
 fn load(args: &[String]) -> Result<DashboardController, Box<dyn std::error::Error>> {
     let input = positional(args).ok_or("missing input file or dataset name")?;
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let profile_mode = parse_profile_mode(args)?;
+    let seed = parsed_flag(args, "--seed")?.unwrap_or(0);
+    let threads = parsed_flag(args, "--threads")?.unwrap_or(0);
     let mut dash = DashboardController::new(DashboardConfig {
         workspace_dir: None,
         seed,
         threads,
-        profile_mode,
         ..Default::default()
     })?;
     if input.ends_with(".csv") {
@@ -180,7 +171,7 @@ fn cmd_profile(args: &[String]) -> CliResult {
 
 fn cmd_rules(args: &[String]) -> CliResult {
     let mut dash = load(args)?;
-    let added = match flag_value(args, "--approx").and_then(|v| v.parse::<f64>().ok()) {
+    let added = match parsed_flag(args, "--approx")? {
         Some(g3) => dash.discover_rules_approx(g3)?,
         None => dash.discover_rules(RuleMiner::Tane)?,
     };
@@ -243,42 +234,23 @@ fn cmd_dashboard(args: &[String]) -> CliResult {
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let workers: usize = flag_value(args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let queue_depth: usize = flag_value(args, "--queue-depth")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let port: u16 = flag_value(args, "--port")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let http_workers: usize = flag_value(args, "--http-workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let max_streams: usize = flag_value(args, "--max-streams")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
+    let seed = parsed_flag(args, "--seed")?.unwrap_or(0);
+    let workers = parsed_flag(args, "--workers")?.unwrap_or(4);
+    let queue_depth = parsed_flag(args, "--queue-depth")?.unwrap_or(32);
+    let port: u16 = parsed_flag(args, "--port")?.unwrap_or(0);
+    let http_workers = parsed_flag(args, "--http-workers")?.unwrap_or(8);
+    let threads = parsed_flag(args, "--threads")?.unwrap_or(1);
+    let max_streams = parsed_flag(args, "--max-streams")?.unwrap_or(32);
     let workspace_dir = flag_value(args, "--workspace").map(std::path::PathBuf::from);
-    let profile_mode = parse_profile_mode(args)?;
     let defaults = HealthThresholds::default();
     let health = HealthThresholds {
-        queue_degraded_ratio: flag_value(args, "--degraded-queue-ratio")
-            .and_then(|s| s.parse().ok())
+        queue_degraded_ratio: parsed_flag(args, "--degraded-queue-ratio")?
             .unwrap_or(defaults.queue_degraded_ratio),
-        queue_hold_ratio: flag_value(args, "--hold-queue-ratio")
-            .and_then(|s| s.parse().ok())
+        queue_hold_ratio: parsed_flag(args, "--hold-queue-ratio")?
             .unwrap_or(defaults.queue_hold_ratio),
-        failure_streak_hold: flag_value(args, "--hold-failure-streak")
-            .and_then(|s| s.parse().ok())
+        failure_streak_hold: parsed_flag(args, "--hold-failure-streak")?
             .unwrap_or(defaults.failure_streak_hold),
-        stream_hold_ratio: flag_value(args, "--hold-stream-ratio")
-            .and_then(|s| s.parse().ok())
+        stream_hold_ratio: parsed_flag(args, "--hold-stream-ratio")?
             .unwrap_or(defaults.stream_hold_ratio),
         ..defaults
     };
@@ -290,7 +262,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         threads,
         workspace_dir,
         metrics: Some(Arc::clone(&metrics)),
-        profile_mode,
         health,
         ..JobServiceConfig::default()
     })?);

@@ -12,7 +12,7 @@ use datalens_detect::{
     RahaSession, TaggedValueDetector,
 };
 use datalens_fd::{Fd, FdRule, RuleSet};
-use datalens_profile::{ProfileMode, ProfileReport};
+use datalens_profile::ProfileReport;
 use datalens_repair::{repairer_by_name, RepairContext};
 use datalens_table::{DatasetDir, Table};
 use datalens_tracking::{Run, RunStatus, TrackingStore, EXPERIMENT_DETECTION, EXPERIMENT_REPAIR};
@@ -38,9 +38,6 @@ pub struct DashboardConfig {
     /// Metrics registry; when set, the engine observes every stage's
     /// wall time into `engine_stage_ms{stage=…}` histograms.
     pub metrics: Option<std::sync::Arc<datalens_obs::Registry>>,
-    /// Profiling backend: exact statistics (default) or bounded-memory
-    /// mergeable sketches (`--profile-mode approx`).
-    pub profile_mode: ProfileMode,
 }
 
 /// Which FD miner to run.
@@ -67,9 +64,6 @@ pub struct DatasetState {
     pub rules: RuleSet,
     pub tags: TagList,
     pub profile: Option<ProfileReport>,
-    /// The mode `profile` was computed with; a request for the other
-    /// mode recomputes instead of serving the memoised report.
-    pub profile_mode: ProfileMode,
     pub detections: Option<ConsolidatedDetections>,
     pub repaired: Option<Table>,
     pub detection_tools_used: Vec<String>,
@@ -188,7 +182,6 @@ impl DashboardController {
             rules: RuleSet::new(),
             tags: TagList::new(),
             profile: None,
-            profile_mode: ProfileMode::default(),
             detections: None,
             repaired: None,
             detection_tools_used: Vec::new(),
@@ -228,27 +221,19 @@ impl DashboardController {
 
     // --- profiling and rules ----------------------------------------------
 
-    /// Run (and cache) the data profile in the configured mode.
+    /// Run (and cache) the data profile.
     pub fn profile(&mut self) -> Result<&ProfileReport, DataLensError> {
-        self.profile_with_mode(self.config.profile_mode)
-    }
-
-    /// Run (and cache) the data profile in an explicit mode. The
-    /// memoised report is only served when it was built in the same
-    /// mode; switching exact ↔ approx recomputes.
-    pub fn profile_with_mode(
-        &mut self,
-        mode: ProfileMode,
-    ) -> Result<&ProfileReport, DataLensError> {
         let engine = self.engine.clone();
         let state = self.state_mut()?;
-        if state.profile.is_none() || state.profile_mode != mode {
-            let (report, stage) = engine.profile_with_mode(&state.table, mode);
-            state.profile = Some(report);
-            state.profile_mode = mode;
-            state.stage_reports.push(stage);
-        }
-        Ok(state.profile.as_ref().expect("just set"))
+        let report = match state.profile.take() {
+            Some(report) => report,
+            None => {
+                let (report, stage) = engine.profile(&state.table);
+                state.stage_reports.push(stage);
+                report
+            }
+        };
+        Ok(state.profile.insert(report))
     }
 
     /// Discover FD rules with the chosen miner; results land in the rule
@@ -699,30 +684,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_memoisation_is_mode_aware() {
-        let mut c = DashboardController::new(DashboardConfig {
-            profile_mode: ProfileMode::Approx,
-            ..Default::default()
-        })
-        .unwrap();
+    fn profile_is_memoised() {
+        let mut c = controller();
         c.ingest_csv_text("demo.csv", dirty_csv()).unwrap();
-        // Configured mode drives the default entry point.
-        assert!(c.profile().unwrap().columns[0].approx.is_some());
+        let first = c.profile().unwrap().clone();
         let stages_after_first = c.stage_reports().unwrap().len();
-        // Same mode again: memoised, no new stage ran.
-        c.profile().unwrap();
+        // A second call serves the memoised report: no new stage ran.
+        assert_eq!(c.profile().unwrap(), &first);
         assert_eq!(c.stage_reports().unwrap().len(), stages_after_first);
-        // Switching mode recomputes instead of serving the stale report.
-        assert!(c
-            .profile_with_mode(ProfileMode::Exact)
-            .unwrap()
-            .columns
-            .iter()
-            .all(|col| col.approx.is_none()));
-        assert_eq!(c.stage_reports().unwrap().len(), stages_after_first + 1);
-        // And back: the approx report was invalidated by the exact one.
-        assert!(c.profile().unwrap().columns[0].approx.is_some());
-        assert_eq!(c.stage_reports().unwrap().len(), stages_after_first + 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 use datalens_detect::{ConsolidatedDetections, Detection, DetectionContext, Detector};
 use datalens_fd::{FdRule, RuleSet};
 use datalens_obs::{labeled, Registry};
-use datalens_profile::{ProfileCache, ProfileMode, ProfileReport};
+use datalens_profile::{ProfileCache, ProfileReport};
 use datalens_repair::{RepairContext, RepairResult, Repairer};
 use datalens_table::{CellRef, Table};
 
@@ -121,23 +121,9 @@ impl Engine {
     /// profiled table's chunked-storage footprint as the
     /// `table_chunks_total` / `table_resident_bytes` gauges.
     pub fn profile(&self, table: &Table) -> (ProfileReport, StageReport) {
-        self.profile_with_mode(table, ProfileMode::Exact)
-    }
-
-    /// [`Engine::profile`] with an explicit profiling mode. In
-    /// [`ProfileMode::Approx`] the per-chunk sketch partials are memoised
-    /// beside the exact partials, the merges performed by this call are
-    /// published as `profile_sketch_merges_total`, and the bytes held by
-    /// cached sketches as the `sketch_bytes_resident` gauge.
-    pub fn profile_with_mode(
-        &self,
-        table: &Table,
-        mode: ProfileMode,
-    ) -> (ProfileReport, StageReport) {
         let stage = ProfileStage {
             threads: self.effective_threads(),
             cache: Some(Arc::clone(&self.profile_cache)),
-            mode,
         };
         let before = self.profile_cache.stats();
         let out = self.run(&stage, table, table_dims(table));
@@ -149,15 +135,6 @@ impl Engine {
             metrics
                 .counter("profile_cache_misses_total")
                 .add(after.misses().saturating_sub(before.misses()));
-            metrics
-                .counter("profile_sketch_merges_total")
-                .add(after.sketch_merges.saturating_sub(before.sketch_merges));
-            metrics
-                // lint:allow(metric-naming): point-in-time bytes held by
-                // memoised sketch partials — a gauge, named for the
-                // resource it measures like `table_resident_bytes`
-                .gauge("sketch_bytes_resident")
-                .set(i64::try_from(self.profile_cache.sketch_bytes_resident()).unwrap_or(i64::MAX));
             metrics
                 // lint:allow(metric-naming): a point-in-time chunk count
                 // for the profiled table — gauge semantics, but the
@@ -399,34 +376,6 @@ mod tests {
         // misses (one numeric chunk per column). Warm run hits the
         // column-profile cache before any chunk lookup happens.
         assert_eq!(registry.counter("profile_cache_misses_total").get(), 6);
-    }
-
-    #[test]
-    fn approx_profile_publishes_sketch_metrics() {
-        let registry = Arc::new(Registry::new());
-        let e = engine(2).with_metrics(Some(Arc::clone(&registry)));
-        let t = table();
-        let (approx, _) = e.profile_with_mode(&t, ProfileMode::Approx);
-        // One merge per chunk per column; the table has one chunk per
-        // column at this size.
-        assert_eq!(
-            registry.counter("profile_sketch_merges_total").get(),
-            t.chunk_count() as u64
-        );
-        assert!(registry.gauge("sketch_bytes_resident").get() > 0);
-        assert!(approx.columns.iter().all(|c| c.approx.is_some()));
-        // The default profile entry point stays exact and reports no
-        // sketch traffic of its own.
-        let (exact, _) = e.profile(&t);
-        assert!(exact.columns.iter().all(|c| c.approx.is_none()));
-        // A warm approx build answers from the column cache without new
-        // sketch merges.
-        let before = registry.counter("profile_sketch_merges_total").get();
-        e.profile_with_mode(&t, ProfileMode::Approx);
-        assert_eq!(
-            registry.counter("profile_sketch_merges_total").get(),
-            before
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use datalens_detect::{ConsolidatedDetections, Detection, DetectionContext, Detector};
 use datalens_fd::{hyfd, tane, FdRule, HyFdConfig, RuleSet, TaneConfig};
-use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileMode, ProfileReport};
+use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileReport};
 use datalens_repair::{RepairContext, RepairResult, Repairer};
 use datalens_table::{CellRef, Table};
 
@@ -46,8 +46,6 @@ pub struct ProfileStage {
     pub threads: usize,
     /// Shared per-column profile / correlation-pair cache.
     pub cache: Option<Arc<ProfileCache>>,
-    /// Exact (default) or sketched statistics.
-    pub mode: ProfileMode,
 }
 
 impl<'a> Stage<'a> for ProfileStage {
@@ -61,10 +59,7 @@ impl<'a> Stage<'a> for ProfileStage {
     fn execute(&self, table: Self::Input) -> ProfileReport {
         ProfileReport::build_with(
             table,
-            &ProfileConfig {
-                mode: self.mode,
-                ..ProfileConfig::default()
-            },
+            &ProfileConfig::default(),
             &BuildOptions {
                 threads: self.threads,
                 cache: self.cache.as_deref(),

@@ -15,7 +15,6 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use datalens_datasets::Task;
-use datalens_profile::ProfileMode;
 
 use crate::engine::StageReport;
 use crate::error::DataLensError;
@@ -100,33 +99,16 @@ impl JobStep {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     pub steps: Vec<JobStep>,
-    /// Profiling backend for any `Profile` step in the chain: exact
-    /// statistics or mergeable sketches. `None` defers to the service's
-    /// configured default (`serve --profile-mode`). A spec field rather
-    /// than a step payload so legacy `"Profile"` step encodings keep
-    /// deserialising unchanged.
-    #[serde(default)]
-    pub profile_mode: Option<ProfileMode>,
 }
 
 impl JobSpec {
     pub fn new(steps: Vec<JobStep>) -> JobSpec {
-        JobSpec {
-            steps,
-            profile_mode: None,
-        }
+        JobSpec { steps }
     }
 
     /// Profile only.
     pub fn profile() -> JobSpec {
         JobSpec::new(vec![JobStep::Profile])
-    }
-
-    /// Builder: run any `Profile` step in the given mode, overriding
-    /// the service default.
-    pub fn with_profile_mode(mut self, mode: ProfileMode) -> JobSpec {
-        self.profile_mode = Some(mode);
-        self
     }
 
     /// Detection with the named tools.
@@ -594,23 +576,6 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: JobSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
-    }
-
-    #[test]
-    fn profile_mode_round_trips_and_defaults_to_service_mode() {
-        let spec = JobSpec::profile().with_profile_mode(ProfileMode::Approx);
-        let json = serde_json::to_string(&spec).unwrap();
-        assert!(json.contains("\"approx\""));
-        let back: JobSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
-        // Legacy payloads without the field defer to the service's
-        // configured mode; `null` round-trips the same way.
-        let legacy: JobSpec = serde_json::from_str("{\"steps\":[\"Profile\"]}").unwrap();
-        assert_eq!(legacy.profile_mode, None);
-        assert_eq!(legacy.steps, vec![JobStep::Profile]);
-        let reparsed: JobSpec =
-            serde_json::from_str(&serde_json::to_string(&legacy).unwrap()).unwrap();
-        assert_eq!(reparsed, legacy);
     }
 
     #[test]

@@ -81,9 +81,6 @@ pub struct JobServiceConfig {
     /// wait, running-job and state-transition counts, and the engine
     /// stage timings of every job it runs.
     pub metrics: Option<Arc<Registry>>,
-    /// Default profiling backend for every session's controller. A job
-    /// spec's own `profile_mode` still overrides it per profile step.
-    pub profile_mode: datalens_profile::ProfileMode,
     /// Cap on each job's buffered event log (the SSE replay source).
     /// Overflowing `progress` events are dropped (and counted);
     /// terminal events always land.
@@ -107,7 +104,6 @@ impl Default for JobServiceConfig {
             threads: 1,
             workspace_dir: None,
             metrics: None,
-            profile_mode: datalens_profile::ProfileMode::default(),
             event_buffer: 1024,
             alert_buffer: 256,
             health: HealthThresholds::default(),
@@ -281,7 +277,6 @@ impl JobService {
             seed: self.inner.config.seed,
             threads: self.inner.config.threads,
             metrics: self.inner.config.metrics.clone(),
-            profile_mode: self.inner.config.profile_mode,
         })?;
         ingest(&mut ctrl)?;
         let dataset = ctrl.table()?.name().to_string();
@@ -645,12 +640,7 @@ fn run_step(
         JobStep::Profile => {
             let (summary, quality_alerts, reports) = {
                 let mut c = ctrl.lock();
-                // A spec-level mode overrides the service default the
-                // controller was configured with.
-                let p = match job.spec.profile_mode {
-                    Some(mode) => c.profile_with_mode(mode)?,
-                    None => c.profile()?,
-                };
+                let p = c.profile()?;
                 let summary = ProfileSummary {
                     rows: p.table.n_rows,
                     cols: p.columns.len(),
@@ -879,41 +869,6 @@ mod tests {
         assert!(outcome.n_detections.unwrap() > 0);
         assert!(outcome.n_repaired.unwrap() > 0);
         assert!(outcome.repaired_csv.as_ref().unwrap().contains("zip"));
-    }
-
-    #[test]
-    fn service_profile_mode_governs_legacy_specs_and_specs_override() {
-        let metrics = Arc::new(Registry::new());
-        let svc = JobService::new(JobServiceConfig {
-            workers: 1,
-            queue_depth: 8,
-            metrics: Some(Arc::clone(&metrics)),
-            profile_mode: datalens_profile::ProfileMode::Approx,
-            ..JobServiceConfig::default()
-        })
-        .unwrap();
-        let sid = svc.create_session_csv("demo.csv", CSV).unwrap();
-
-        // A spec without profile_mode (the legacy wire shape) runs in
-        // the service's configured mode: the sketch pipeline engages.
-        let jid = svc.submit(sid, JobSpec::profile()).unwrap();
-        let status = svc.wait(jid, Some(Duration::from_secs(30))).unwrap();
-        assert_eq!(status.state, JobState::Done, "err: {:?}", status.error);
-        let merges = metrics.counter("profile_sketch_merges_total").get();
-        assert!(merges > 0, "approx default did not engage sketches");
-        assert!(metrics.gauge("sketch_bytes_resident").get() > 0);
-
-        // An explicit spec-level Exact overrides the service default:
-        // no new sketch merges.
-        let jid = svc
-            .submit(
-                sid,
-                JobSpec::profile().with_profile_mode(datalens_profile::ProfileMode::Exact),
-            )
-            .unwrap();
-        let status = svc.wait(jid, Some(Duration::from_secs(30))).unwrap();
-        assert_eq!(status.state, JobState::Done, "err: {:?}", status.error);
-        assert_eq!(metrics.counter("profile_sketch_merges_total").get(), merges);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! driven as a real subprocess the way a user would.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn datalens(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_datalens"))
@@ -10,14 +11,36 @@ fn datalens(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn demo_csv() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("datalens_cli_{}.csv", std::process::id()));
+/// A demo CSV file, deleted on drop.
+struct DemoCsv(std::path::PathBuf);
+
+impl DemoCsv {
+    fn path(&self) -> &str {
+        self.0.to_str().expect("temp path is UTF-8")
+    }
+}
+
+impl Drop for DemoCsv {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// A fresh demo CSV per call: tests run in parallel, and rewriting one
+/// shared file while another test's subprocess reads it truncates it.
+fn demo_csv() -> DemoCsv {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "datalens_cli_{}_{}.csv",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(
         &path,
         "zip,city,pop\n1,ulm,120\n1,ulm,120\n2,bonn,99999\n2,bonn,330\n1,oops,\n",
     )
     .expect("write demo csv");
-    path
+    DemoCsv(path)
 }
 
 #[test]
@@ -33,7 +56,7 @@ fn datasets_lists_preloaded() {
 #[test]
 fn profile_renders_tab() {
     let csv = demo_csv();
-    let out = datalens(&["profile", csv.to_str().unwrap()]);
+    let out = datalens(&["profile", csv.path()]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Data Profile"));
@@ -43,7 +66,7 @@ fn profile_renders_tab() {
 #[test]
 fn rules_with_approx_flag() {
     let csv = demo_csv();
-    let out = datalens(&["rules", csv.to_str().unwrap(), "--approx", "0.3"]);
+    let out = datalens(&["rules", csv.path(), "--approx", "0.3"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("-> "), "{text}");
@@ -54,7 +77,7 @@ fn detect_with_tags_and_rules() {
     let csv = demo_csv();
     let out = datalens(&[
         "detect",
-        csv.to_str().unwrap(),
+        csv.path(),
         "--tools",
         "mv_detector,nadeef",
         "--tag",
@@ -80,7 +103,7 @@ fn repair_writes_output_file() {
         std::env::temp_dir().join(format!("datalens_cli_out_{}.csv", std::process::id()));
     let out = datalens(&[
         "repair",
-        csv.to_str().unwrap(),
+        csv.path(),
         "--tools",
         "mv_detector,sd",
         "--repairer",
@@ -114,4 +137,18 @@ fn missing_file_fails_cleanly() {
     let out = datalens(&["profile", "/nonexistent/x.csv"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+}
+
+#[test]
+fn malformed_numeric_flags_are_rejected() {
+    let csv = demo_csv();
+    for (args, flag) in [
+        (vec!["profile", csv.path(), "--threads", "x"], "--threads"),
+        (vec!["serve", "--port", "80a"], "--port"),
+    ] {
+        let out = datalens(&args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("invalid {flag}")), "{args:?}: {err}");
+    }
 }

@@ -77,7 +77,6 @@ pub fn scan(table: &Table, config: &AlertConfig) -> Vec<Alert> {
         histogram_bins: 0,
         top_k: 1,
         alerts: config.clone(),
-        ..ProfileConfig::default()
     };
     let columns: Vec<ColumnProfile> = table
         .columns()

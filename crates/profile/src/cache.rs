@@ -36,9 +36,6 @@ use parking_lot::Mutex;
 
 use datalens_table::{Chunk, ChunkValues, Column, DataType};
 
-use datalens_sketch::{column_seed, ColumnSketch};
-
-use crate::approx::ProfileMode;
 use crate::correlation::{CorrelationKind, SortOrder};
 use crate::report::{ColumnProfile, ProfileConfig};
 use crate::stats::NumericPartial;
@@ -162,13 +159,6 @@ pub struct CacheStats {
     pub pair_misses: u64,
     pub chunk_hits: u64,
     pub chunk_misses: u64,
-    /// Per-chunk sketch-partial lookups (approx mode only; always zero
-    /// in exact mode).
-    pub sketch_hits: u64,
-    pub sketch_misses: u64,
-    /// Per-chunk sketch merges folded into column sketches (approx mode
-    /// only).
-    pub sketch_merges: u64,
     /// Spearman sort-order lookups by column fingerprint. Not folded
     /// into [`CacheStats::hits`] / [`CacheStats::misses`]: an order is
     /// only looked up on behalf of a pair that already missed.
@@ -178,44 +168,30 @@ pub struct CacheStats {
 
 impl CacheStats {
     pub fn hits(&self) -> u64 {
-        self.column_hits + self.pair_hits + self.chunk_hits + self.sketch_hits
+        self.column_hits + self.pair_hits + self.chunk_hits
     }
 
     pub fn misses(&self) -> u64 {
-        self.column_misses + self.pair_misses + self.chunk_misses + self.sketch_misses
+        self.column_misses + self.pair_misses + self.chunk_misses
     }
 }
 
 /// Key of a memoised column profile: the profile depends on the column's
-/// name and content plus the config knobs that shape it — including the
-/// profiling mode and (in approx mode) the sketch parameters and
-/// per-column seed, so switching `exact` ↔ `approx` or changing a sketch
-/// size can never serve a stale profile.
+/// name and content plus the config knobs that shape it.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ColumnKey {
     name: String,
     bins: usize,
     top_k: usize,
-    mode: ProfileMode,
-    /// Fingerprint of the sketch parameters + per-column seed in approx
-    /// mode; a constant 0 in exact mode so exact entries are unaffected
-    /// by sketch-parameter changes.
-    sketch_fp: u64,
     fp: u64,
 }
 
 impl ColumnKey {
     fn new(column: &Column, config: &ProfileConfig, fp: u64) -> ColumnKey {
-        let sketch_fp = match config.mode {
-            ProfileMode::Exact => 0,
-            ProfileMode::Approx => config.sketch.fingerprint(column_seed(column.name())),
-        };
         ColumnKey {
             name: column.name().to_string(),
             bins: config.histogram_bins,
             top_k: config.top_k,
-            mode: config.mode,
-            sketch_fp,
             fp,
         }
     }
@@ -229,12 +205,6 @@ struct Inner {
     chunk_ptr_fps: HashMap<usize, (Arc<Chunk>, u64)>,
     /// Chunk fingerprint → mergeable numeric partial statistics.
     chunk_partials: HashMap<u64, NumericPartial>,
-    /// `(chunk content fingerprint, sketch params+seed fingerprint)` →
-    /// per-chunk sketch bundle. The params+seed half is required: content
-    /// fingerprints are name-independent while sketch seeds derive from
-    /// the column name, so two identical-content columns with different
-    /// names must not share a sketch partial.
-    chunk_sketches: HashMap<(u64, u64), ColumnSketch>,
     pairs: HashMap<(CorrelationKind, u64, u64), f64>,
     /// Column fingerprint → argsorted finite rows, with the tick of its
     /// last use (for least-recently-used trimming).
@@ -256,9 +226,6 @@ pub struct ProfileCache {
     pair_misses: AtomicU64,
     chunk_hits: AtomicU64,
     chunk_misses: AtomicU64,
-    sketch_hits: AtomicU64,
-    sketch_misses: AtomicU64,
-    sketch_merges: AtomicU64,
     sort_hits: AtomicU64,
     sort_misses: AtomicU64,
 }
@@ -278,7 +245,6 @@ impl ProfileCache {
                 columns: HashMap::new(),
                 chunk_ptr_fps: HashMap::new(),
                 chunk_partials: HashMap::new(),
-                chunk_sketches: HashMap::new(),
                 pairs: HashMap::new(),
                 sort_orders: HashMap::new(),
                 sort_tick: 0,
@@ -291,9 +257,6 @@ impl ProfileCache {
             pair_misses: AtomicU64::new(0),
             chunk_hits: AtomicU64::new(0),
             chunk_misses: AtomicU64::new(0),
-            sketch_hits: AtomicU64::new(0),
-            sketch_misses: AtomicU64::new(0),
-            sketch_merges: AtomicU64::new(0),
             sort_hits: AtomicU64::new(0),
             sort_misses: AtomicU64::new(0),
         }
@@ -346,48 +309,6 @@ impl ProfileCache {
             inner.chunk_partials.clear();
         }
         inner.chunk_partials.insert(fp, partial);
-    }
-
-    /// Memoised per-chunk sketch bundle for `(chunk content fingerprint,
-    /// sketch params+seed fingerprint)`, if present.
-    pub fn get_chunk_sketch(&self, fp: u64, params_fp: u64) -> Option<ColumnSketch> {
-        let hit = self
-            .inner
-            .lock()
-            .chunk_sketches
-            .get(&(fp, params_fp))
-            .cloned();
-        match &hit {
-            Some(_) => self.sketch_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.sketch_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Store a freshly sketched chunk.
-    pub fn put_chunk_sketch(&self, fp: u64, params_fp: u64, sketch: &ColumnSketch) {
-        let mut inner = self.inner.lock();
-        if inner.chunk_sketches.len() >= self.max_pairs {
-            inner.chunk_sketches.clear();
-        }
-        inner.chunk_sketches.insert((fp, params_fp), sketch.clone());
-    }
-
-    /// Count sketch merges performed by a column fold (feeds the
-    /// `profile_sketch_merges_total` engine metric).
-    pub fn note_sketch_merges(&self, n: u64) {
-        self.sketch_merges.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total resident bytes of every memoised per-chunk sketch (feeds
-    /// the `sketch_bytes_resident` engine gauge).
-    pub fn sketch_bytes_resident(&self) -> usize {
-        self.inner
-            .lock()
-            .chunk_sketches
-            .values()
-            .map(ColumnSketch::resident_bytes)
-            .sum()
     }
 
     /// Memoised profile for `column` under `config`, if present.
@@ -488,9 +409,6 @@ impl ProfileCache {
             pair_misses: self.pair_misses.load(Ordering::Acquire),
             chunk_hits: self.chunk_hits.load(Ordering::Acquire),
             chunk_misses: self.chunk_misses.load(Ordering::Acquire),
-            sketch_hits: self.sketch_hits.load(Ordering::Acquire),
-            sketch_misses: self.sketch_misses.load(Ordering::Acquire),
-            sketch_merges: self.sketch_merges.load(Ordering::Acquire),
             sort_hits: self.sort_hits.load(Ordering::Acquire),
             sort_misses: self.sort_misses.load(Ordering::Acquire),
         }
@@ -502,7 +420,6 @@ impl ProfileCache {
         inner.columns.clear();
         inner.chunk_ptr_fps.clear();
         inner.chunk_partials.clear();
-        inner.chunk_sketches.clear();
         inner.pairs.clear();
         inner.sort_orders.clear();
     }
@@ -525,11 +442,6 @@ impl ProfileCache {
     /// Number of memoised sort orders (for tests and benches).
     pub fn cached_sort_orders(&self) -> usize {
         self.inner.lock().sort_orders.len()
-    }
-
-    /// Number of memoised per-chunk sketches (for tests and benches).
-    pub fn cached_chunk_sketches(&self) -> usize {
-        self.inner.lock().chunk_sketches.len()
     }
 }
 
@@ -655,90 +567,6 @@ mod tests {
             ..ProfileConfig::default()
         };
         assert!(cache.get_column(&c, &other).is_none());
-    }
-
-    #[test]
-    fn mode_and_sketch_params_participate_in_the_key() {
-        // Regression: switching exact ↔ approx, or changing a sketch
-        // parameter, must never serve a stale cached profile.
-        use crate::approx::ProfileMode;
-        use datalens_sketch::SketchParams;
-
-        let cache = ProfileCache::new();
-        let exact = ProfileConfig::default();
-        let approx = ProfileConfig {
-            mode: ProfileMode::Approx,
-            ..ProfileConfig::default()
-        };
-        let c = col("a", &[Some(1), Some(2), Some(3)]);
-        let t = Table::new("t", vec![c.clone()]).unwrap();
-
-        let exact_profile = ProfileReport::build(&t, &exact).columns[0].clone();
-        cache.put_column(&c, &exact, &exact_profile);
-        assert!(
-            cache.get_column(&c, &approx).is_none(),
-            "approx lookup must not hit an exact entry"
-        );
-
-        let approx_profile = ProfileReport::build(&t, &approx).columns[0].clone();
-        cache.put_column(&c, &approx, &approx_profile);
-        assert_eq!(cache.get_column(&c, &approx), Some(approx_profile));
-        assert_eq!(
-            cache.get_column(&c, &exact),
-            Some(exact_profile),
-            "exact entry survives beside the approx one"
-        );
-
-        // Changing any sketch parameter re-keys approx entries...
-        let approx_small = ProfileConfig {
-            sketch: SketchParams {
-                kll_k: 100,
-                ..SketchParams::default()
-            },
-            ..approx.clone()
-        };
-        assert!(cache.get_column(&c, &approx_small).is_none());
-        // ...but leaves exact entries alone (exact ignores sketch params).
-        let exact_other_sketch = ProfileConfig {
-            sketch: SketchParams {
-                kll_k: 100,
-                ..SketchParams::default()
-            },
-            ..ProfileConfig::default()
-        };
-        assert!(cache.get_column(&c, &exact_other_sketch).is_some());
-    }
-
-    #[test]
-    fn chunk_sketches_are_keyed_by_params_and_seed() {
-        // Two identical-content columns with different names share a
-        // content fingerprint but must not share sketch partials (the
-        // sketch seed derives from the column name).
-        use datalens_sketch::{column_seed, SketchParams};
-
-        let cache = ProfileCache::new();
-        let params = SketchParams::default();
-        let a = col("a", &[Some(1), Some(2)]);
-        let b = col("b", &[Some(1), Some(2)]);
-        let fp_a = cache.fingerprint_of(&a);
-        let fp_b = cache.fingerprint_of(&b);
-        assert_eq!(fp_a, fp_b, "content fingerprints are name-independent");
-
-        let sketch_a = crate::approx::sketch_chunk(&a.chunks()[0], params, column_seed("a"));
-        let chunk_fp = cache.chunk_fingerprint_of(&a.chunks()[0]);
-        cache.put_chunk_sketch(chunk_fp, params.fingerprint(column_seed("a")), &sketch_a);
-        assert!(cache
-            .get_chunk_sketch(chunk_fp, params.fingerprint(column_seed("a")))
-            .is_some());
-        assert!(
-            cache
-                .get_chunk_sketch(chunk_fp, params.fingerprint(column_seed("b")))
-                .is_none(),
-            "a differently-seeded column must re-sketch"
-        );
-        assert_eq!(cache.cached_chunk_sketches(), 1);
-        let s = cache.stats();
-        assert_eq!((s.sketch_hits, s.sketch_misses), (1, 1));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! ```
 
 pub mod alerts;
-pub mod approx;
 pub mod cache;
 pub mod correlation;
 pub mod histogram;
@@ -27,7 +26,6 @@ pub mod report;
 pub mod stats;
 
 pub use alerts::{Alert, AlertConfig, AlertKind};
-pub use approx::{ApproxColumnProfile, ProfileMode, SketchParams};
 pub use cache::{CacheStats, ProfileCache};
 pub use correlation::{CorrelationKind, CorrelationMatrix};
 pub use histogram::Histogram;

@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 use datalens_table::{Column, DataType, Table};
 
 use crate::alerts::{scan_with, Alert, AlertConfig};
-use crate::approx::{approx_column_profile, ApproxColumnProfile, ProfileMode, SketchParams};
 use crate::cache::ProfileCache;
 use crate::correlation::{correlation_matrices, CorrelationKind, CorrelationMatrix};
 use crate::histogram::Histogram;
@@ -25,13 +24,6 @@ pub struct ProfileConfig {
     /// How many most-frequent values to keep per column.
     pub top_k: usize,
     pub alerts: AlertConfig,
-    /// Which backend computes per-column statistics (exact by default).
-    #[serde(default)]
-    pub mode: ProfileMode,
-    /// Sketch sizes used by [`ProfileMode::Approx`]; ignored in exact
-    /// mode (and excluded from exact cache keys).
-    #[serde(default)]
-    pub sketch: SketchParams,
 }
 
 impl Default for ProfileConfig {
@@ -40,8 +32,6 @@ impl Default for ProfileConfig {
             histogram_bins: 10,
             top_k: 10,
             alerts: AlertConfig::default(),
-            mode: ProfileMode::default(),
-            sketch: SketchParams::default(),
         }
     }
 }
@@ -60,10 +50,6 @@ pub struct ColumnProfile {
     pub categorical: CategoricalStats,
     /// Histogram, present for numeric columns with data.
     pub histogram: Option<Histogram>,
-    /// Approximation metadata (estimates and their bounds), present only
-    /// when the profile was built in [`ProfileMode::Approx`].
-    #[serde(default)]
-    pub approx: Option<ApproxColumnProfile>,
 }
 
 /// Table-level overview statistics.
@@ -193,25 +179,14 @@ impl ProfileReport {
             self.table.duplicate_rows,
         ));
         for col in &self.columns {
-            match &col.approx {
-                Some(a) => out.push_str(&format!(
-                    "-- {} ({})  nulls: {} ({:.1}%)  distinct: ~{} (±{:.0})\n",
-                    col.name,
-                    col.dtype,
-                    col.null_count,
-                    col.null_fraction * 100.0,
-                    col.distinct,
-                    a.distinct_bound.ceil(),
-                )),
-                None => out.push_str(&format!(
-                    "-- {} ({})  nulls: {} ({:.1}%)  distinct: {}\n",
-                    col.name,
-                    col.dtype,
-                    col.null_count,
-                    col.null_fraction * 100.0,
-                    col.distinct,
-                )),
-            }
+            out.push_str(&format!(
+                "-- {} ({})  nulls: {} ({:.1}%)  distinct: {}\n",
+                col.name,
+                col.dtype,
+                col.null_count,
+                col.null_fraction * 100.0,
+                col.distinct,
+            ));
             if let Some(n) = &col.numeric {
                 out.push_str(&format!(
                     "   mean {:.4}  std {:.4}  min {:.4}  q1 {:.4}  median {:.4}  q3 {:.4}  max {:.4}\n",
@@ -243,18 +218,6 @@ impl ProfileReport {
                 }
             }
         }
-        let sketch_bytes: u64 = self
-            .columns
-            .iter()
-            .filter_map(|c| c.approx.as_ref())
-            .map(|a| a.sketch_bytes)
-            .sum();
-        if sketch_bytes > 0 {
-            out.push_str(&format!(
-                "\napprox mode: sketch bytes resident: {sketch_bytes} across {} columns\n",
-                self.columns.len(),
-            ));
-        }
         if !self.alerts.is_empty() {
             out.push_str("\nAlerts:\n");
             for a in &self.alerts {
@@ -281,9 +244,6 @@ pub(crate) fn compute_column_profile(
     config: &ProfileConfig,
     cache: Option<&ProfileCache>,
 ) -> ColumnProfile {
-    if config.mode == ProfileMode::Approx {
-        return approx_column_profile(col, n_rows, config, cache);
-    }
     let numeric = numeric_stats_chunked(col, cache);
     let histogram = if config.histogram_bins == 0 {
         None
@@ -306,7 +266,6 @@ pub(crate) fn compute_column_profile(
         numeric,
         categorical,
         histogram,
-        approx: None,
     }
 }
 

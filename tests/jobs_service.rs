@@ -19,6 +19,7 @@ use datalens::jobs::rest::{
     SubmitJobResponse,
 };
 use datalens::jobs::{JobService, JobServiceConfig, JobSpec, JobState, JobStatus, JobStep};
+use datalens_profile::ProfileConfig;
 use datalens_rest::{Client, Server};
 use datalens_table::csv::write_csv_str;
 use datalens_tracking::{RunStatus, TrackingStore, EXPERIMENT_JOBS};
@@ -336,4 +337,56 @@ fn full_queue_rejects_submissions_with_429() {
         )
         .unwrap();
     assert_eq!(resp.status, 404);
+}
+
+/// Payloads written while an approximate profiling mode existed still
+/// parse: a job spec that asks for approx mode runs as a plain (exact)
+/// profile job, and a stored `ProfileConfig` carrying `mode` / `sketch`
+/// keys reads back as the default config.
+#[test]
+fn legacy_approx_mode_payloads_parse_and_run_exact() {
+    let (_service, server) = start(1, 2, None);
+    let client = Client::new(server.addr());
+    let csv = dataset_csv(4);
+    let sid = open_session(&client, "legacy.csv", &csv);
+    let body = br#"{"steps":["Profile"],"profile_mode":"approx"}"#.to_vec();
+    let resp = client.post(&format!("/sessions/{sid}/jobs"), body).unwrap();
+    assert_eq!(
+        resp.status,
+        202,
+        "legacy spec refused: {}",
+        String::from_utf8_lossy(resp.body_bytes())
+    );
+    let job: SubmitJobResponse = serde_json::from_slice(resp.body_bytes()).unwrap();
+    let status = wait_over_http(&client, job.job_id);
+    assert_eq!(status.state, JobState::Done, "err: {:?}", status.error);
+    let result: JobResultResponse = client
+        .get_json(&format!("/jobs/{}/result", job.job_id))
+        .unwrap();
+    let summary = result.outcome.profile.expect("profile summary");
+
+    let mut ctrl = DashboardController::new(DashboardConfig {
+        threads: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    ctrl.ingest_csv_text("legacy.csv", &csv).unwrap();
+    let exact = ctrl.profile().unwrap();
+    assert_eq!(
+        (summary.rows, summary.cols, summary.missing_cells),
+        (
+            exact.table.n_rows,
+            exact.columns.len(),
+            exact.table.missing_cells
+        )
+    );
+
+    let default_json = serde_json::to_string(&ProfileConfig::default()).unwrap();
+    let legacy_json = default_json.replacen(
+        '{',
+        r#"{"mode":"approx","sketch":{"hll_precision":12,"kll_k":200,"top_capacity":64,"reservoir_k":32},"#,
+        1,
+    );
+    let legacy: ProfileConfig = serde_json::from_str(&legacy_json).unwrap();
+    assert_eq!(serde_json::to_string(&legacy).unwrap(), default_json);
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use datalens::engine::{Engine, EngineConfig};
 use datalens_obs::Registry;
-use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileMode, ProfileReport};
+use datalens_profile::{BuildOptions, ProfileCache, ProfileConfig, ProfileReport};
 use datalens_table::{CellRef, Column, Table, Value};
 
 /// Mixed-dtype fixture: three numeric columns (with nulls), one
@@ -192,76 +192,6 @@ fn cache_counters_flow_into_the_metrics_registry() {
     // chunk for each of a, b, c, flag; "color" has no numeric stats).
     assert_eq!(stats.hits(), 11);
     assert_eq!(stats.misses(), 15);
-}
-
-/// Acceptance pin for the sketch backend: the approx-mode report on the
-/// real hospital/beers datasets serialises to the same bytes on 1/2/8
-/// threads and on cold vs warm caches. Sketch hashing is seeded per
-/// column name (no ambient RNG), so two builds that never share a cache
-/// still agree bit for bit.
-#[test]
-fn approx_reports_are_bit_identical_across_threads_and_cache() {
-    let config = ProfileConfig {
-        mode: ProfileMode::Approx,
-        ..ProfileConfig::default()
-    };
-    for name in ["hospital", "beers"] {
-        let dd = datalens_datasets::registry::dirty(name, 0).unwrap();
-        let cache = ProfileCache::new();
-        let baseline = serialized(&ProfileReport::build(&dd.dirty, &config));
-        assert!(
-            baseline.contains("\"approx\""),
-            "{name} missing sketch data"
-        );
-        for threads in [1, 2, 8] {
-            for cache_opt in [None, Some(&cache)] {
-                let got = serialized(&ProfileReport::build_with(
-                    &dd.dirty,
-                    &config,
-                    &BuildOptions {
-                        threads,
-                        cache: cache_opt,
-                    },
-                ));
-                assert_eq!(baseline, got, "{name} approx diverged at threads={threads}");
-            }
-        }
-    }
-}
-
-/// Warm approx rebuilds answer from the column cache; the per-chunk
-/// sketch partials are computed exactly once per (content, seed) pair.
-#[test]
-fn approx_warm_cache_rebuild_is_bit_identical() {
-    let table = fixture();
-    let config = ProfileConfig {
-        mode: ProfileMode::Approx,
-        ..ProfileConfig::default()
-    };
-    let cache = ProfileCache::new();
-    let opts = BuildOptions {
-        threads: 4,
-        cache: Some(&cache),
-    };
-    let cold = serialized(&ProfileReport::build_with(&table, &config, &opts));
-    let after_cold = cache.stats();
-    assert_eq!(
-        after_cold.column_misses, 5,
-        "cold build sketches every column"
-    );
-    assert_eq!(
-        after_cold.sketch_misses, 5,
-        "one sketch partial per column (single-chunk fixture)"
-    );
-
-    let warm = serialized(&ProfileReport::build_with(&table, &config, &opts));
-    assert_eq!(cold, warm, "warm approx rebuild must be bit-identical");
-    let after_warm = cache.stats();
-    assert_eq!(after_warm.column_hits - after_cold.column_hits, 5);
-    assert_eq!(
-        after_warm.sketch_misses, after_cold.sketch_misses,
-        "no re-sketching on a warm cache"
-    );
 }
 
 #[test]
